@@ -98,7 +98,7 @@
 // The run starts once -shards workers have registered. If a worker
 // process dies mid-run, the orchestrator marks it dead via the lost
 // control stream (or four missed heartbeats) and the Monte-Carlo
-// scheduler requeues that worker group's trial chunk onto a fresh
+// scheduler retries that worker group's trial chunk on a fresh
 // executor built from the survivors — output bytes are unchanged, per
 // the sharding contract. When no workers survive, trial chunks fall
 // back to in-process execution, still byte-identical.

@@ -120,7 +120,7 @@ func (d *NoisyLCLDecider) Radius() int { return d.L.Radius }
 
 // Verdict implements decide.Decider.
 func (d *NoisyLCLDecider) Verdict(v *local.View) bool {
-	bad := d.L.Bad(&lang.LabeledBall{Ball: v.Ball, X: v.X, Y: v.Y})
+	bad := d.L.Bad(v.LabeledBall())
 	if !bad {
 		return true
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Ball is the radius-t ball B_G(v,t) of the paper (§2.1.1): the subgraph of
@@ -31,39 +32,115 @@ type Ball struct {
 	Radius int
 }
 
-// BallAround extracts B_G(v,t).
+// BallAround extracts B_G(v,t). It runs one BFS over pooled scratch, so
+// a call costs O(ball) regardless of the host graph's size, and the ball
+// is assembled in a fixed handful of allocations: its adjacency and port
+// rows are carved from one backing slab each.
 func (g *Graph) BallAround(v, t int) *Ball {
-	nodes, dists := g.NodesWithin(v, t)
-	local := make(map[int]int, len(nodes))
-	for i, u := range nodes {
-		local[u] = i
-	}
-	adj := make([][]int32, len(nodes))
-	ports := make([][]int, len(nodes))
-	m := 0
-	for i, u := range nodes {
-		for p, w := range g.adj[u] {
-			j, in := local[int(w)]
-			if !in {
-				continue
+	sc := ballPool.Get().(*ballScratch)
+	sc.within(g, v, t)
+	s := len(sc.nodes)
+	edges := 0
+	for i, u := range sc.nodes {
+		for _, w := range g.adj[u] {
+			if sc.edge(i, w, t) >= 0 {
+				edges++
 			}
-			// Frontier-edge exclusion: drop edges joining two nodes at
-			// distance exactly t from the center.
-			if dists[i] == t && dists[j] == t {
-				continue
-			}
-			adj[i] = append(adj[i], int32(j))
-			ports[i] = append(ports[i], p)
-			m++
 		}
 	}
-	return &Ball{
-		G:      &Graph{adj: adj, m: m / 2},
-		Nodes:  nodes,
-		Dist:   dists,
-		Ports:  ports,
-		Radius: t,
+	// Nodes, Dist and the port rows share one []int slab.
+	ints := make([]int, 2*s+edges)
+	nodes, dists, portSlab := ints[:s:s], ints[s:2*s:2*s], ints[2*s:]
+	copy(nodes, sc.nodes)
+	copy(dists, sc.dist)
+	adjSlab := make([]int32, edges)
+	adj := make([][]int32, s)
+	ports := make([][]int, s)
+	off := 0
+	for i, u := range sc.nodes {
+		start := off
+		for p, w := range g.adj[u] {
+			if j := sc.edge(i, w, t); j >= 0 {
+				adjSlab[off] = j
+				portSlab[off] = p
+				off++
+			}
+		}
+		if off > start {
+			adj[i] = adjSlab[start:off:off]
+			ports[i] = portSlab[start:off:off]
+		}
 	}
+	sc.release()
+	bg := new(struct {
+		b Ball
+		g Graph
+	})
+	bg.g = Graph{adj: adj, m: edges / 2}
+	bg.b = Ball{G: &bg.g, Nodes: nodes, Dist: dists, Ports: ports, Radius: t}
+	return &bg.b
+}
+
+// ballScratch is the reusable state of one radius-t BFS. local maps a
+// host node to its ball-local index plus one (0: not in the ball); nodes
+// and dist hold the discovery order and distances. Between uses local is
+// all zero: release clears exactly the entries the BFS set, through the
+// node list, so no call pays for the host graph's size.
+type ballScratch struct {
+	local []int32
+	nodes []int
+	dist  []int
+}
+
+var ballPool = sync.Pool{New: func() any { return new(ballScratch) }}
+
+// within runs the BFS of B_G(v,t) from v in port order (a negative t
+// never stops, covering v's whole component). An out-of-range v panics
+// before any mark is set.
+func (sc *ballScratch) within(g *Graph, v, t int) {
+	n := g.N()
+	if cap(sc.local) < n {
+		sc.local = make([]int32, n)
+	}
+	sc.local = sc.local[:n]
+	nodes := append(sc.nodes[:0], v)
+	dist := append(sc.dist[:0], 0)
+	sc.local[v] = 1
+	for i := 0; i < len(nodes); i++ {
+		if dist[i] == t {
+			continue
+		}
+		for _, w := range g.adj[nodes[i]] {
+			if sc.local[w] == 0 {
+				nodes = append(nodes, int(w))
+				dist = append(dist, dist[i]+1)
+				sc.local[w] = int32(len(nodes))
+			}
+		}
+	}
+	sc.nodes, sc.dist = nodes, dist
+}
+
+// edge returns the ball-local index of host neighbor w of ball node i
+// when the edge survives into the ball, or -1: w must be in the ball,
+// and frontier-edge exclusion drops edges joining two nodes at distance
+// exactly t from the center.
+func (sc *ballScratch) edge(i int, w int32, t int) int32 {
+	j := sc.local[w] - 1
+	if j < 0 || (sc.dist[i] == t && sc.dist[j] == t) {
+		return -1
+	}
+	return j
+}
+
+// release clears the BFS marks and returns the scratch to the pool.
+// Callers release only after a clean extraction: a scratch abandoned by
+// a panic is dropped, never pooled with stale marks.
+func (sc *ballScratch) release() {
+	for _, u := range sc.nodes {
+		sc.local[u] = 0
+	}
+	ballPool.Put(sc)
 }
 
 // Center returns the host-graph node at the center of the ball.

@@ -100,28 +100,16 @@ func (g *Graph) Diameter() int {
 }
 
 // NodesWithin returns all nodes at distance <= t from v, in BFS order, along
-// with their distances.
+// with their distances. Like BallAround it costs O(ball), not O(n).
 func (g *Graph) NodesWithin(v, t int) ([]int, []int) {
-	var nodes, dists []int
-	dist := map[int]int{v: 0}
-	queue := []int{v}
-	nodes = append(nodes, v)
-	dists = append(dists, 0)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if dist[u] == t {
-			continue
-		}
-		for _, w := range g.adj[u] {
-			if _, seen := dist[int(w)]; !seen {
-				dist[int(w)] = dist[u] + 1
-				nodes = append(nodes, int(w))
-				dists = append(dists, dist[u]+1)
-				queue = append(queue, int(w))
-			}
-		}
-	}
+	sc := ballPool.Get().(*ballScratch)
+	sc.within(g, v, t)
+	s := len(sc.nodes)
+	out := make([]int, 2*s)
+	nodes, dists := out[:s:s], out[s:]
+	copy(nodes, sc.nodes)
+	copy(dists, sc.dist)
+	sc.release()
 	return nodes, dists
 }
 

@@ -46,7 +46,9 @@ type LCL struct {
 	// neighbor scan order (the direct-neighbor order of a radius-1 ball
 	// is the graph's port order). Only radius-1 languages whose predicate
 	// reads the outputs of the center and its direct neighbors can define
-	// it; deterministic deciders dispatch to it on the hot trial path
+	// it. Every whole-configuration check dispatches to it: CountBadBalls,
+	// BadNodes and Contains here, hence every relax language built on the
+	// LCL, and deterministic deciders on the hot trial path
 	// (decide.Exec.Verdicts). len(bad) is the node count; scratch is
 	// caller-provided per-node scratch of the same length, typically a
 	// decode-once column so each output is validated once instead of
@@ -66,26 +68,48 @@ func (l *LCL) Contains(c *Config) (bool, error) {
 }
 
 // CountBadBalls returns |F(G)| in the notation of Corollary 1's proof:
-// the number of nodes v with B_G(v,t) ∈ Bad(L).
+// the number of nodes v with B_G(v,t) ∈ Bad(L). It panics on a
+// configuration that fails Validate.
 func (l *LCL) CountBadBalls(c *Config) int {
 	count := 0
-	for v := 0; v < c.G.N(); v++ {
-		if l.Bad(LabeledBallAround(c, v, l.Radius)) {
+	for _, b := range l.badColumn(c) {
+		if b {
 			count++
 		}
 	}
 	return count
 }
 
-// BadNodes returns the centers of all bad balls.
+// BadNodes returns the centers of all bad balls. It panics on a
+// configuration that fails Validate.
 func (l *LCL) BadNodes(c *Config) []int {
 	var out []int
-	for v := 0; v < c.G.N(); v++ {
-		if l.Bad(LabeledBallAround(c, v, l.Radius)) {
+	for v, b := range l.badColumn(c) {
+		if b {
 			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// badColumn evaluates Bad at every center: in one BadRow pass over the
+// output column when the language defines it, ball by ball otherwise.
+// The shape check comes first, so a column that does not cover the graph
+// is never counted from a partly filled scratch.
+func (l *LCL) badColumn(c *Config) []bool {
+	if err := c.Validate(); err != nil {
+		panic(err)
+	}
+	n := c.G.N()
+	bad := make([]bool, n)
+	if l.BadRow != nil {
+		l.BadRow(&DecisionInstance{G: c.G, X: c.X, Y: c.Y}, bad, make([]int32, n))
+		return bad
+	}
+	for v := range bad {
+		bad[v] = l.Bad(LabeledBallAround(c, v, l.Radius))
+	}
+	return bad
 }
 
 // centerColor decodes the center's color; ok is false when the output is

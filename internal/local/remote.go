@@ -46,7 +46,7 @@ import (
 // trial state and retries the in-flight trial chunk on a fresh one;
 // NewShardedRemote builds the replacement from the pool's surviving
 // workers (or the provider falls back to a local batch when none are
-// left), so a worker dying mid-run requeues its chunk instead of
+// left), so a worker dying mid-run gets its chunk retried instead of
 // aborting the sweep — with byte-identical output, per the sharding
 // contract.
 //

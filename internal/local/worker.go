@@ -146,7 +146,7 @@ type ServeOptions struct {
 	// DieAfterRounds, when positive, abruptly closes every connection and
 	// exits with an error after that many round commands — fault
 	// injection at the process level, used by CI to prove a mid-run
-	// worker death requeues cleanly. Zero never dies.
+	// worker death is retried cleanly. Zero never dies.
 	DieAfterRounds int
 }
 

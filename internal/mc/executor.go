@@ -52,7 +52,7 @@ type Executor[S any] struct {
 	// it is called once with (0, total) before the first chunk runs —
 	// total being the sweep's chunk count — and once per completed chunk
 	// with the cumulative completed count. Failed attempts report nothing
-	// (their requeued rerun does, on success). Calls after the first may
+	// (their rerun does, on success). Calls after the first may
 	// arrive concurrently from worker goroutines, so the callback must be
 	// safe for concurrent use; it must not panic. This is the hook the
 	// serve layer's per-run SSE progress events ride on.

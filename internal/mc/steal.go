@@ -23,20 +23,20 @@ import (
 //     chunk — one fixed summation order regardless of pool size or
 //     scheduling (the static split only had that at one worker).
 //
-//   - A failing chunk is requeued, not fatal. A body that cannot
+//   - A failing chunk is retried, not fatal. A body that cannot
 //     complete its chunk signals with Fail (or any panic): the worker
 //     discards its state — a sharded executor whose worker process died,
-//     a poisoned transport — closes it, builds a fresh one, and the
-//     chunk goes back on the queue for another attempt. Only a chunk
-//     that keeps failing (maxChunkAttempts fresh states) aborts the
-//     sweep, re-raising the original panic.
+//     a poisoned transport — closes it, and reruns the chunk on a freshly
+//     built state. A state provider that panics fails the attempt the
+//     same way. Only a chunk that keeps failing (maxChunkAttempts fresh
+//     states) aborts the sweep, re-raising the original panic.
 
 // Fail aborts the current trial chunk with err: the scheduler closes the
-// worker's state, requeues the chunk, and retries it on a freshly built
-// state. Trial bodies call it when the failure is in the execution
-// substrate (a dead worker process, a broken transport) rather than the
-// measured algorithm — fabricating a degraded measurement instead would
-// silently corrupt the estimate.
+// worker's state and retries the chunk on a freshly built state. Trial
+// bodies call it when the failure is in the execution substrate (a dead
+// worker process, a broken transport) rather than the measured
+// algorithm — fabricating a degraded measurement instead would silently
+// corrupt the estimate.
 func Fail(err error) {
 	panic(err)
 }
@@ -45,13 +45,6 @@ func Fail(err error) {
 // before its failure is considered permanent and re-raised: the first
 // attempt plus two retries.
 const maxChunkAttempts = 3
-
-// stealChunk is one [lo, hi) trial span in flight, carrying its attempt
-// count across requeues.
-type stealChunk struct {
-	lo, hi  int
-	attempt int
-}
 
 // chunkFailure wraps a recovered chunk panic so the scheduler can tell
 // "this attempt failed" from "ran clean".
@@ -70,17 +63,21 @@ func runChunk(body func()) (failure *chunkFailure) {
 }
 
 // stealWorkers runs body(w, s, lo, hi) over [0, trials) in chunks of
-// batch on up to `workers` goroutines fed from a shared chunk queue.
-// w < workers indexes the goroutine (bodies may keep worker-indexed
-// accumulators); s is the goroutine's current state. The queue is FIFO,
-// so a single worker processes chunks in ascending trial order — exactly
-// the static split's order, which keeps one-worker runs (GOMAXPROCS=1
-// goldens) byte-identical to it even for order-sensitive accumulation.
+// batch on up to `workers` goroutines. Worker w starts on chunk w, then
+// pulls from a shared FIFO queue of the remaining chunks, so every
+// worker runs at least one chunk and a single worker processes chunks
+// in ascending trial order — exactly the static split's order, which
+// keeps one-worker runs byte-identical to it even for order-sensitive
+// accumulation. w < workers indexes the goroutine (bodies may keep
+// worker-indexed accumulators); s is the goroutine's current state.
 //
-// A body panic fails the attempt: the state is closed, a fresh one is
-// built, and the chunk is requeued until maxChunkAttempts is exhausted,
-// at which point the sweep drains and the original panic value is
-// re-raised.
+// The state is built inside a chunk attempt, by the first attempt that
+// needs one: a worker builds a state only for a chunk it runs, and a
+// panicking state provider fails the attempt like a body panic instead
+// of killing the process. A failed attempt closes the state, if any, and
+// the worker retries the chunk on a fresh one until maxChunkAttempts is
+// exhausted, at which point the sweep drains and the original panic
+// value is re-raised.
 //
 // progress, when non-nil, observes the schedule: (0, nchunks) once
 // before the first chunk is handed out, then the cumulative completed
@@ -103,21 +100,17 @@ func stealWorkers[S any](trials, batch, workers int, newState func() S, progress
 	if workers < 1 {
 		workers = 1
 	}
-	// Capacity covers every chunk plus one requeue slot per worker, so a
-	// requeue send can never block (each worker holds at most one chunk).
-	queue := make(chan stealChunk, nchunks+workers)
-	for lo := 0; lo < trials; lo += batch {
-		hi := lo + batch
-		if hi > trials {
-			hi = trials
-		}
-		queue <- stealChunk{lo: lo, hi: hi}
+	// The queue holds the chunk indices no worker starts on, buffered to
+	// exactly that count so filling it never blocks.
+	queue := make(chan int, nchunks-workers)
+	for i := workers; i < nchunks; i++ {
+		queue <- i
 	}
+	close(queue)
 	var pending atomic.Int64
 	pending.Store(int64(nchunks))
 	// done closes when the sweep is over — all chunks completed, or one
-	// failed permanently. The queue itself is never closed: a concurrent
-	// requeue racing a close would panic on the send.
+	// failed permanently.
 	done := make(chan struct{})
 	var doneOnce sync.Once
 	finish := func() { doneOnce.Do(func() { close(done) }) }
@@ -129,24 +122,36 @@ func stealWorkers[S any](trials, batch, workers int, newState func() S, progress
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s := newState()
-			defer func() { closeState(s) }()
-			for {
-				var c stealChunk
-				select {
-				case c = <-queue:
-				case <-done:
-					return
-				}
-				if failure := runChunk(func() { body(w, s, c.lo, c.hi) }); failure != nil {
-					// The attempt died with its state: discard the state and
-					// retry the chunk on a fresh one. The fresh build re-runs
-					// the state constructor, which is where degraded modes
-					// live (a sharded provider excluding dead workers, or
-					// falling back to a local batch).
+			var s S
+			live := false // s is built and not yet closed
+			defer func() {
+				if live {
 					closeState(s)
-					s = newState()
-					if c.attempt+1 >= maxChunkAttempts {
+				}
+			}()
+			for i, ok := w, true; ok; {
+				lo, hi := i*batch, min((i+1)*batch, trials)
+				for attempt := 0; ; attempt++ {
+					failure := runChunk(func() {
+						if !live {
+							s = newState()
+							live = true
+						}
+						body(w, s, lo, hi)
+					})
+					if failure == nil {
+						break
+					}
+					// The attempt died with its state: discard it and retry on
+					// a fresh one. The fresh build re-runs the state
+					// constructor, which is where degraded modes live (a
+					// sharded provider excluding dead workers, or falling back
+					// to a local batch).
+					if live {
+						closeState(s)
+						live = false
+					}
+					if attempt+1 >= maxChunkAttempts {
 						fatalMu.Lock()
 						if fatal == nil {
 							fatal = failure
@@ -155,8 +160,11 @@ func stealWorkers[S any](trials, batch, workers int, newState func() S, progress
 						finish()
 						return
 					}
-					queue <- stealChunk{lo: c.lo, hi: c.hi, attempt: c.attempt + 1}
-					continue
+					select {
+					case <-done:
+						return // another chunk failed permanently
+					default:
+					}
 				}
 				left := pending.Add(-1)
 				if progress != nil {
@@ -164,6 +172,11 @@ func stealWorkers[S any](trials, batch, workers int, newState func() S, progress
 				}
 				if left == 0 {
 					finish()
+					return
+				}
+				select {
+				case i, ok = <-queue:
+				case <-done:
 					return
 				}
 			}
@@ -179,7 +192,7 @@ func stealWorkers[S any](trials, batch, workers int, newState func() S, progress
 // order-free, so the estimate is bit-identical to the static split's)
 // over the stealing scheduler. A chunk's successes are counted only
 // after its body returns clean — a failed attempt contributes nothing,
-// and its requeued rerun recounts from a zeroed row.
+// and its rerun recounts from a zeroed row.
 func runSteal[S any](trials, batch, workers int, newState func() S, progress func(done, total int), f func(s S, lo, hi int, out []bool)) Estimate {
 	if batch < 1 {
 		batch = 1

@@ -166,6 +166,42 @@ func TestStealRequeuesFailedChunk(t *testing.T) {
 	}
 }
 
+// TestStealStateProviderPanics pins that state construction runs inside
+// the chunk attempt: a provider that panics fails the attempt like a
+// body panic — the chunk is retried and the sweep completes with every
+// trial counted once — and a provider that always panics aborts the
+// sweep by re-raising its panic on the caller, where it can be
+// recovered, instead of killing the process from a worker goroutine.
+func TestStealStateProviderPanics(t *testing.T) {
+	trials, batch, workers := 40, 4, 3
+	body := func(_ struct{}, lo, hi int, out []bool) {
+		for i := lo; i < hi; i++ {
+			out[i-lo] = trialOutcome(i)
+		}
+	}
+	want := runBatchedWorkers(trials, batch, workers, func() struct{} { return struct{}{} }, body)
+	var failures atomic.Int32
+	failures.Store(2)
+	got := runSteal(trials, batch, workers, func() struct{} {
+		if failures.Add(-1) >= 0 {
+			panic("state provider failure")
+		}
+		return struct{}{}
+	}, nil, body)
+	if got != want {
+		t.Fatalf("estimate after provider failures %+v != static %+v", got, want)
+	}
+
+	sentinel := errors.New("provider permanently broken")
+	defer func() {
+		if r := recover(); r != sentinel {
+			t.Fatalf("panic value %v, want the provider's %v", r, sentinel)
+		}
+	}()
+	runSteal(trials, batch, workers, func() struct{} { panic(sentinel) }, nil, body)
+	t.Fatal("permanently failing provider did not panic")
+}
+
 // TestStealPermanentFailurePanics pins the retry bound: a chunk that
 // fails on every fresh state aborts the sweep by re-raising the original
 // panic value after maxChunkAttempts attempts — it neither spins forever
