@@ -16,8 +16,10 @@ import (
 // Ablation benchmarks: quantify the design choices DESIGN.md commits to.
 
 // --- Engine parallelism ----------------------------------------------------
-// The round engine runs nodes on a GOMAXPROCS worker pool; the ablation
-// pins the pool to one worker to measure the speedup the pool buys.
+// A node pass widens onto the cores free in the process-wide budget
+// (GOMAXPROCS−1 extra), at most one per 512 nodes; the ablation pins
+// GOMAXPROCS to 1, so every pass runs inline, to measure the speedup the
+// fan-out buys on a 2048-node cycle.
 
 func benchEngineWithProcs(b *testing.B, procs int) {
 	prev := runtime.GOMAXPROCS(procs)

@@ -49,10 +49,9 @@
 //	              over a gob control stream, and the workers exchange cut
 //	              blocks directly with each other over TCP
 //
-// Per-trial outputs are byte-identical across all transports; rendered
-// tables additionally match the unsharded run whenever the Monte-Carlo
-// worker chunking coincides (pin GOMAXPROCS=1 for exact equality, as CI
-// does when diffing against the committed goldens).
+// Per-trial outputs and rendered tables are byte-identical across all
+// transports and shard counts, and to the unsharded run, at any
+// GOMAXPROCS (CI diffs every path against the committed goldens).
 //
 // # The shard-worker protocol
 //
@@ -240,15 +239,19 @@ func cmdRun(args []string) error {
 		}
 	}
 	cfg := report.Config{Quick: *quick, Seed: *seed, Shards: *shards}
-	if *drop > 0 || *delay > 0 || *crash > 0 {
-		cfg.Fault = &local.FaultPlan{
-			Seed:       *faultSeed,
-			Drop:       *drop,
-			Delay:      *delay,
-			CrashP:     *crash,
-			CrashFrom:  *crashFrom,
-			CrashUntil: *crashUntil,
-		}
+	fault := &local.FaultPlan{
+		Seed:       *faultSeed,
+		Drop:       *drop,
+		Delay:      *delay,
+		CrashP:     *crash,
+		CrashFrom:  *crashFrom,
+		CrashUntil: *crashUntil,
+	}
+	if err := fault.Validate(); err != nil {
+		return fmt.Errorf("run: %w", err)
+	}
+	if fault.Enabled() {
+		cfg.Fault = fault
 	}
 	switch *transport {
 	case "chan", "":

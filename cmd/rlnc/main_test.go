@@ -2,15 +2,17 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
+
+	"rlnc/internal/local"
 )
 
 // TestMain doubles as the shard-worker entry point: `-transport tcp`
@@ -88,15 +90,11 @@ func TestRunExperimentGolden(t *testing.T) {
 // TestRunExperimentGoldenSharded is the end-to-end shard-equivalence
 // differential at the CLI: `run E2 -shards 2` (and 4) must reproduce the
 // committed unsharded golden byte for byte — the sharded engine may not
-// change a single digit of a published table. GOMAXPROCS is pinned to 1
-// for the duration so the Monte-Carlo chunk boundaries (and hence the
-// float accumulation order) match the unsharded golden exactly.
+// change a single digit of a published table.
 func TestRunExperimentGoldenSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment table in -short mode")
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
 	for _, shards := range []string{"2", "4"} {
 		out := captureStdout(t, func() error {
 			return cmdRun([]string{"E2", "-quick", "-seed", "7", "-shards", shards})
@@ -109,14 +107,11 @@ func TestRunExperimentGoldenSharded(t *testing.T) {
 // the CLI: `run E2 -shards 2` must reproduce the committed unsharded
 // golden byte for byte over every cut-exchange transport — the
 // in-process loopback-TCP links and the real N-process shard-worker
-// path alike. GOMAXPROCS is pinned for the chunk boundaries, as in
-// TestRunExperimentGoldenSharded.
+// path alike.
 func TestRunExperimentGoldenTransports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment table in -short mode")
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
 	for _, transport := range []string{"tcp-loopback", "tcp"} {
 		t.Run(transport, func(t *testing.T) {
 			out := captureStdout(t, func() error {
@@ -172,8 +167,6 @@ func TestRunMultiHostGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment table in -short mode")
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
 	control := freePort(t)
 	startExternalWorker(t, control)
 	startExternalWorker(t, control)
@@ -192,8 +185,6 @@ func TestRunMultiHostWorkerDeathGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment table in -short mode")
 	}
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
 	control := freePort(t)
 	startExternalWorker(t, control, "-die-after-rounds", "35")
 	startExternalWorker(t, control)
@@ -304,5 +295,32 @@ func TestCmdRun(t *testing.T) {
 	}
 	if err := cmdRun([]string{"-quick"}); err == nil {
 		t.Error("missing ids accepted")
+	}
+}
+
+// TestCmdRunRejectsBadFaultRates pins fault-plan validation at the CLI:
+// out-of-range -drop/-delay/-crash values and negative crash rounds are
+// an intake error naming every bad flag value, not a printed table with
+// failing checks.
+func TestCmdRunRejectsBadFaultRates(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-drop", "1.7", "-delay", "-3"}, "drop rate 1.7 outside [0, 1]; delay rate -3 outside [0, 1]"},
+		{[]string{"-delay", "-3"}, "delay rate -3 outside [0, 1]"},
+		{[]string{"-crash", "NaN"}, "crash rate NaN outside [0, 1]"},
+		{[]string{"-crash", "0.1", "-crash-from", "-2"}, "crash-from round -2 is negative"},
+	} {
+		out := captureStdout(t, func() error {
+			err := cmdRun(append([]string{"E2", "-quick"}, tc.args...))
+			if !errors.Is(err, local.ErrFaultPlan) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: err = %v, want %v mentioning %q", tc.args, err, local.ErrFaultPlan, tc.want)
+			}
+			return nil
+		})
+		if len(out) != 0 {
+			t.Errorf("%v: printed %q before rejecting", tc.args, out)
+		}
 	}
 }

@@ -632,9 +632,10 @@ func (bt *Batch) runVec(src laneSrc, k int, wa WireAlgorithm, draws []localrand.
 		bt.curWords, bt.nextWord = bt.nextWord, bt.curWords
 		bt.curRefs, bt.nextRefs = bt.nextRefs, bt.curRefs
 		// Merge and re-zero the worker rows: a worker index can go idle
-		// between runs (GOMAXPROCS shrinks, or ceil-division leaves the
-		// last chunk empty), and an idle worker's row must read as zero
-		// rather than replay a previous round's counts.
+		// from one pass to the next (the core budget grants a pass fewer
+		// workers, GOMAXPROCS shrinks, or ceil-division leaves the last
+		// chunk empty), and an idle worker's row must read as zero rather
+		// than replay a previous round's counts.
 		for w := 0; w < workers; w++ {
 			finRow := bt.wkFin[w][:k]
 			for b := 0; b < k; b++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"rlnc/internal/lang"
 	"rlnc/internal/localrand"
@@ -143,16 +144,19 @@ func runCore(in *lang.Instance, algo MessageAlgorithm, tapeOf func(v int) *local
 	return plan.NewEngine().runWithTapes(in, algo, tapeOf, opts)
 }
 
-// ParallelFor runs fn(i) for i in [0, n) on a pool of GOMAXPROCS workers.
-// fn must touch disjoint state per index; under that contract the result
-// is deterministic regardless of scheduling. Exported for the decider and
-// experiment packages, which share the same per-node parallelism pattern.
+// ParallelFor runs fn(i) for i in [0, n), fanning contiguous chunks out
+// onto whatever cores the process-wide budget can spare (see
+// AcquireCores); passes under 2*minGrain indices, or with no core free,
+// run inline on the caller. fn must touch disjoint state per index;
+// under that contract the result is deterministic regardless of
+// scheduling. Exported for the decider and experiment packages, which
+// share the same per-node parallelism pattern.
 func ParallelFor(n int, fn func(i int)) { parallelFor(n, fn) }
 
-// parallelFor runs fn(i) for i in [0, n) on a pool of GOMAXPROCS workers,
-// in contiguous chunks. Callers guarantee fn touches disjoint state per
-// index, so the iteration is deterministic regardless of scheduling. A
-// panic inside fn is captured and re-raised on the calling goroutine, so
+// parallelFor runs fn(i) for i in [0, n) in contiguous chunks through
+// parallelChunks. Callers guarantee fn touches disjoint state per index,
+// so the iteration is deterministic regardless of scheduling. A panic
+// inside fn is captured and re-raised on the calling goroutine, so
 // algorithm contract violations surface as ordinary recoverable panics.
 func parallelFor(n int, fn func(i int)) {
 	parallelChunks(n, func(w, lo, hi int) {
@@ -162,28 +166,84 @@ func parallelFor(n int, fn func(i int)) {
 	})
 }
 
+// minGrain is the fewest indices a node pass hands each worker: a pass
+// over n indices runs on at most n/minGrain workers, so passes over
+// fewer than 2*minGrain nodes never fan out. Below that size goroutine
+// start-up and the join cost more than the work they would split.
+const minGrain = 512
+
+// coresHeld counts the extra cores handed out by AcquireCores and not
+// yet returned. The budget is GOMAXPROCS−1: the goroutine asking always
+// runs on its own core, so only cores beyond it are counted.
+var coresHeld atomic.Int64
+
+// AcquireCores takes up to want extra cores from the process-wide budget
+// of GOMAXPROCS−1 and returns how many it got, 0 when none are free. It
+// never blocks. The caller may run that many goroutines beside its own
+// and must hand every core back with ReleaseCores. Monte-Carlo workers
+// and node passes draw on this one budget, so a pass inside a trial
+// widens only onto cores no other worker holds, and nested fan-out never
+// puts more than GOMAXPROCS goroutines to work.
+func AcquireCores(want int) int {
+	if want <= 0 {
+		return 0
+	}
+	limit := int64(runtime.GOMAXPROCS(0) - 1)
+	for {
+		held := coresHeld.Load()
+		free := limit - held
+		if free <= 0 {
+			return 0
+		}
+		got := min(int64(want), free)
+		if coresHeld.CompareAndSwap(held, held+got) {
+			return int(got)
+		}
+	}
+}
+
+// ReleaseCores returns n cores taken with AcquireCores to the budget.
+func ReleaseCores(n int) {
+	if n <= 0 {
+		return
+	}
+	if coresHeld.Add(-int64(n)) < 0 {
+		panic("local: ReleaseCores returned more cores than were acquired")
+	}
+}
+
+// CoresHeld reports how many extra cores are currently taken from the
+// budget.
+func CoresHeld() int { return int(coresHeld.Load()) }
+
 // maxWorkers bounds the worker index parallelChunks can hand out for n
-// indices; callers size worker-indexed scratch from it.
+// indices — min(GOMAXPROCS, n/minGrain), at least 1; callers size
+// worker-indexed scratch from it.
 func maxWorkers(n int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	if n < 2*minGrain {
+		return 1
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return min(runtime.GOMAXPROCS(0), n/minGrain)
 }
 
 // parallelChunks partitions [0, n) into contiguous chunks and runs
-// body(w, lo, hi) for each on its own goroutine (inline when one worker
-// suffices). w < maxWorkers(n) always holds, so bodies may accumulate
-// into worker-indexed scratch without atomics — the batched round loop
-// counts delivered messages and halting transitions this way. Panics are
-// captured and re-raised on the calling goroutine.
+// body(w, lo, hi) for each. It asks the budget for up to maxWorkers(n)−1
+// extra cores, starts one goroutine per core it gets, runs chunk 0 on
+// the calling goroutine, and returns the cores on every exit, panics
+// included; with no core to spare the whole range runs inline. w <
+// maxWorkers(n) always holds, so bodies may accumulate into
+// worker-indexed scratch without atomics — the batched round loop counts
+// delivered messages and halting transitions this way. How many workers
+// a pass gets depends on concurrent load, so such scratch must be summed
+// (order-free) and zero for idle workers. Panics are captured and
+// re-raised on the calling goroutine once every chunk has stopped.
 func parallelChunks(n int, body func(w, lo, hi int)) {
-	workers := maxWorkers(n)
-	if workers <= 1 {
+	extra := 0
+	if want := maxWorkers(n) - 1; want > 0 {
+		extra = AcquireCores(want)
+		defer ReleaseCores(extra)
+	}
+	if extra == 0 {
 		if n > 0 {
 			body(0, 0, n)
 		}
@@ -192,31 +252,32 @@ func parallelChunks(n int, body func(w, lo, hi int)) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var panicked any
+	run := func(w, lo, hi int) {
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if panicked == nil {
+					panicked = r
+				}
+				mu.Unlock()
+			}
+		}()
+		body(w, lo, hi)
+	}
+	workers := 1 + extra
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for w := 1; w < workers; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
 		if lo >= hi {
 			break
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = r
-					}
-					mu.Unlock()
-				}
-			}()
-			body(w, lo, hi)
-		}(w, lo, hi)
+			run(w, lo, hi)
+		}()
 	}
+	run(0, 0, min(chunk, n))
 	wg.Wait()
 	if panicked != nil {
 		panic(panicked)

@@ -1,7 +1,10 @@
 package local
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 
 	"rlnc/internal/graph"
 	"rlnc/internal/localrand"
@@ -85,6 +88,40 @@ type EdgeCut struct {
 // run the engine's unperturbed fast path.
 func (f *FaultPlan) Enabled() bool {
 	return f != nil && (f.Drop > 0 || f.Delay > 0 || f.CrashP > 0 || len(f.Surgery) > 0)
+}
+
+// ErrFaultPlan marks a fault plan rejected by Validate.
+var ErrFaultPlan = errors.New("local: invalid fault plan")
+
+// Validate reports whether the plan's rates and rounds are in range: the
+// drop, delay and crash rates are probabilities in [0, 1], and the crash
+// rounds are not negative. A nil plan is valid. Entry points that build
+// a plan from user input (the CLI flags, the serve job spec) call it
+// before arming the plan, so an out-of-range rate is an intake error
+// rather than a run whose checks fail.
+func (f *FaultPlan) Validate() error {
+	if f == nil {
+		return nil
+	}
+	var bad []string
+	for _, r := range []struct {
+		name string
+		p    float64
+	}{{"drop", f.Drop}, {"delay", f.Delay}, {"crash", f.CrashP}} {
+		if !(r.p >= 0 && r.p <= 1) { // NaN fails both comparisons
+			bad = append(bad, fmt.Sprintf("%s rate %v outside [0, 1]", r.name, r.p))
+		}
+	}
+	if f.CrashFrom < 0 {
+		bad = append(bad, fmt.Sprintf("crash-from round %d is negative", f.CrashFrom))
+	}
+	if f.CrashUntil < 0 {
+		bad = append(bad, fmt.Sprintf("crash-until round %d is negative", f.CrashUntil))
+	}
+	if bad != nil {
+		return fmt.Errorf("%w: %s", ErrFaultPlan, strings.Join(bad, "; "))
+	}
+	return nil
 }
 
 // CutForSubdivision applies graph.SubdivideTwice to the edge {u, z} and

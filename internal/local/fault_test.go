@@ -3,7 +3,9 @@ package local
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"rlnc/internal/graph"
@@ -423,5 +425,30 @@ func TestFaultShardedMatchesBatch(t *testing.T) {
 			resultsEqual(t, fmt.Sprintf("shards=%d lane=%d", shards, b), want[b], got[b])
 		}
 		s.Close()
+	}
+}
+
+// TestFaultPlanValidate pins the fault plan's own range check: rates are
+// probabilities in [0, 1] (NaN included in the rejects), crash rounds are
+// not negative, every problem is reported at once, and nil and zero
+// plans are valid.
+func TestFaultPlanValidate(t *testing.T) {
+	for _, f := range []*FaultPlan{nil, {}, {Drop: 1, Delay: 0.5, CrashP: 0, CrashFrom: 0, CrashUntil: 9}} {
+		if err := f.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", f, err)
+		}
+	}
+	for _, tc := range []struct {
+		f    FaultPlan
+		want string
+	}{
+		{FaultPlan{Drop: 1.7, Delay: -3}, "local: invalid fault plan: drop rate 1.7 outside [0, 1]; delay rate -3 outside [0, 1]"},
+		{FaultPlan{CrashP: math.NaN()}, "local: invalid fault plan: crash rate NaN outside [0, 1]"},
+		{FaultPlan{CrashP: 0.1, CrashFrom: -1, CrashUntil: -2}, "local: invalid fault plan: crash-from round -1 is negative; crash-until round -2 is negative"},
+	} {
+		err := tc.f.Validate()
+		if !errors.Is(err, ErrFaultPlan) || err.Error() != tc.want {
+			t.Errorf("%+v: err = %v, want %q", tc.f, err, tc.want)
+		}
 	}
 }

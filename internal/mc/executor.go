@@ -14,7 +14,13 @@ import (
 // (Run/RunWith/RunBatched/RunSharded and the Mean quartet) are thin
 // deprecated wrappers over this struct and remain bit-identical to it.
 //
-// The zero value runs scalar trials with no state on a GOMAXPROCS pool:
+// The zero value runs scalar trials with no state. A scalar executor
+// draws its trial workers from the process-wide core budget
+// (local.AcquireCores): one worker on the calling goroutine's core plus
+// up to min(GOMAXPROCS, chunks)−1 more, as many as are free, handed back
+// when the sweep returns. Node passes inside the trial bodies draw
+// on the same budget, so a sweep and its passes together never put more
+// than GOMAXPROCS goroutines to work:
 //
 //	est := mc.Executor[struct{}]{Trials: 10000}.Run(mc.Scalar(func(_ struct{}, trial int) bool {
 //		return trialSucceeds(trial)
@@ -32,9 +38,9 @@ type Executor[S any] struct {
 	// for Batch > 1 is a reusable *local.Batch of the same width.
 	Batch int
 	// Shards, when positive, sizes the worker pool for shard-group
-	// execution: GOMAXPROCS/Shards groups (at least one) instead of
-	// GOMAXPROCS scalar workers, because each sharded trial vector
-	// already runs on Shards goroutines. Zero selects the scalar pool.
+	// execution: GOMAXPROCS/Shards groups (at least one), taken outside
+	// the core budget, because each sharded trial vector already runs on
+	// Shards goroutines. Zero selects the budgeted scalar pool.
 	Shards int
 	// Fault, when non-nil, is armed as the default fault plan of every
 	// worker state that exposes SetFault(*local.FaultPlan) — Engine,
@@ -65,12 +71,20 @@ type faultSetter interface {
 	SetFault(*local.FaultPlan)
 }
 
-// pool returns the worker-pool size the executor schedules on.
-func (e Executor[S]) pool() int {
+// workers sizes the steal pool. A sharded executor keeps its shard-group
+// pool and holds no budget cores. A scalar one runs on the calling
+// goroutine's core plus however many of min(GOMAXPROCS, chunks)−1 extra
+// cores the process-wide budget (local.AcquireCores) can spare; extra
+// is that grant, which the caller returns with local.ReleaseCores once
+// the sweep is over.
+func (e Executor[S]) workers() (n, extra int) {
 	if e.Shards > 0 {
-		return shardGroups(e.Shards)
+		return shardGroups(e.Shards), 0
 	}
-	return runtime.GOMAXPROCS(0)
+	b := e.batch()
+	chunks := (e.Trials + b - 1) / b
+	extra = local.AcquireCores(min(runtime.GOMAXPROCS(0), chunks) - 1)
+	return 1 + extra, extra
 }
 
 // batch returns the effective trial-vector width.
@@ -112,7 +126,9 @@ func (e Executor[S]) stateFn() func() S {
 // retried on a freshly built state before the failure is considered
 // permanent. Estimates stay bit-identical to the legacy static split.
 func (e Executor[S]) Run(f func(s S, lo, hi int, out []bool)) Estimate {
-	return runSteal(e.Trials, e.batch(), e.pool(), e.stateFn(), e.Progress, f)
+	workers, extra := e.workers()
+	defer local.ReleaseCores(extra)
+	return runSteal(e.Trials, e.batch(), workers, e.stateFn(), e.Progress, f)
 }
 
 // Mean executes the executor's trials of a real-valued body and returns
@@ -123,7 +139,9 @@ func (e Executor[S]) Run(f func(s S, lo, hi int, out []bool)) Estimate {
 // size and scheduling. Wrap a per-trial observable with ScalarMean when
 // no vectorization is wanted.
 func (e Executor[S]) Mean(f func(s S, lo, hi int, out []float64)) (mean, stderr float64) {
-	return meanSteal(e.Trials, e.batch(), e.pool(), e.stateFn(), e.Progress, f)
+	workers, extra := e.workers()
+	defer local.ReleaseCores(extra)
+	return meanSteal(e.Trials, e.batch(), workers, e.stateFn(), e.Progress, f)
 }
 
 // Scalar adapts a per-trial predicate to Run's vector body.

@@ -1,5 +1,5 @@
 // Package mc is the Monte-Carlo measurement harness used by every
-// experiment: it runs independent Bernoulli trials on a fixed worker pool
+// experiment: it runs independent Bernoulli trials on a pool of workers
 // and reports point estimates with Wilson confidence intervals. Trials are
 // indexed, and callers derive all randomness from the trial index, so
 // results are reproducible and independent of parallel scheduling.
@@ -125,7 +125,7 @@ func RunBatched[S any](trials, batch int, newState func() S, f func(s S, lo, hi 
 // RunSharded is RunBatched for sharded execution state: the intended S
 // is a *local.Sharded of `shards` shards, whose every trial vector
 // already runs on that many goroutines, so the pool is sized at
-// GOMAXPROCS/shards shard groups instead of GOMAXPROCS scalar workers.
+// GOMAXPROCS/shards shard groups instead of the budgeted scalar pool.
 //
 // Deprecated: use Executor with Batch and Shards set.
 func RunSharded[S any](trials, batch, shards int, newState func() S, f func(s S, lo, hi int, out []bool)) Estimate {

@@ -225,7 +225,7 @@ func runSteal[S any](trials, batch, workers int, newState func() S, progress fun
 // once the sweep completes. The summation order is therefore a fixed
 // function of the trial count — independent of pool size, scheduling,
 // and stealing — and identical to the static split's single-worker
-// order, which is what the committed GOMAXPROCS=1 goldens pin.
+// order, which is what the committed goldens pin at any GOMAXPROCS.
 func meanSteal[S any](trials, batch, workers int, newState func() S, progress func(done, total int), f func(s S, lo, hi int, out []float64)) (mean, stderr float64) {
 	if batch < 1 {
 		batch = 1

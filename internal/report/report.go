@@ -166,12 +166,11 @@ type Config struct {
 	Seed uint64
 	// Shards, when > 1, runs message-algorithm trial loops on a sharded
 	// engine of that many shards (clamped per graph to its node count).
-	// Every trial's outputs are byte-identical to the unsharded run;
-	// aggregated tables are additionally byte-identical whenever the
-	// Monte-Carlo worker chunking coincides (shard groups shrink the
-	// pool, which can regroup float accumulation — pin GOMAXPROCS to
-	// one, as the golden tests do, for exact table equality). The knob
-	// exists to exercise the multi-machine execution path end to end.
+	// Every trial's outputs and every rendered table are byte-identical
+	// to the unsharded run at any GOMAXPROCS: chunk bounds depend only on
+	// the trial count and batch width, and Monte-Carlo means merge in
+	// trial order. The knob exists to exercise the multi-machine
+	// execution path end to end.
 	Shards int
 	// Fault, when non-nil and enabled, arms the fault plan on every trial
 	// executor the experiment builds — batched and sharded alike — so the

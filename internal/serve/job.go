@@ -84,6 +84,11 @@ func (f *FaultSpec) plan() *local.FaultPlan {
 	if f == nil || (f.Drop == 0 && f.Delay == 0 && f.Crash == 0) {
 		return nil
 	}
+	return f.engine()
+}
+
+// engine is the spec's field-for-field engine fault plan.
+func (f *FaultSpec) engine() *local.FaultPlan {
 	return &local.FaultPlan{
 		Seed:       f.Seed,
 		Drop:       f.Drop,
@@ -152,13 +157,8 @@ func (j *JobSpec) normalize(lim Limits) error {
 		j.Shards = 0 // 0 and 1 both mean "unsharded"; collapse for the hash
 	}
 	if f := j.Fault; f != nil {
-		for name, p := range map[string]float64{"drop": f.Drop, "delay": f.Delay, "crash": f.Crash} {
-			if p < 0 || p > 1 {
-				return jobErrorf("fault.%s %v outside [0, 1]", name, p)
-			}
-		}
-		if f.CrashFrom < 0 || f.CrashUntil < 0 {
-			return jobErrorf("fault rounds must not be negative")
+		if err := f.engine().Validate(); err != nil {
+			return jobErrorf("fault: %v", err)
 		}
 		if f.Drop == 0 && f.Delay == 0 && f.Crash == 0 {
 			j.Fault = nil // the zero plan is fault-free by contract

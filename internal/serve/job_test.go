@@ -32,6 +32,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"huge graph", func(j *JobSpec) { j.Algorithm.N = 1 << 19 }, "exceeding the limit"},
 		{"hypercube blowup", func(j *JobSpec) { j.Algorithm.Family = "hypercube"; j.Algorithm.N = 64 }, "too deep"},
 		{"bad drop rate", func(j *JobSpec) { j.Fault = &FaultSpec{Drop: 1.5} }, "outside [0, 1]"},
+		{"bad delay rate", func(j *JobSpec) { j.Fault = &FaultSpec{Drop: 0.1, Delay: -3} }, "delay rate -3 outside [0, 1]"},
 		{"negative crash round", func(j *JobSpec) { j.Fault = &FaultSpec{Crash: 0.1, CrashFrom: -1} }, "negative"},
 	}
 	for _, tc := range cases {

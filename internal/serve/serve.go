@@ -260,6 +260,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, prior.snapshot())
 		return
 	}
+	// The 202 answers with the meta as queued: the worker may already be
+	// running (or have finished) the job by the time the reply is
+	// written.
+	queued := rn.meta
 	select {
 	case s.queue <- rn:
 		s.live[id] = rn
@@ -269,7 +273,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, rn.snapshot())
+	writeJSON(w, http.StatusAccepted, queued)
 }
 
 // registerCached installs a store-answered run in the live map so its
@@ -512,18 +516,24 @@ func (s *Server) execute(rn *run) {
 		rn.log.close()
 		return
 	}
-	rn.meta.Status = statusDone
-	rn.meta.ChecksPass = checksPass
-	rn.meta.TableBytes = len(table)
-	rn.table = table
 	meta := rn.meta
 	rn.mu.Unlock()
+	meta.Status = statusDone
+	meta.ChecksPass = checksPass
+	meta.TableBytes = len(table)
 
+	// Store before the live meta reads done, so a client that polled
+	// "done" finds the run in the store too — a fresh daemon over the
+	// same directory answers it as a cache hit.
 	if err := s.store.Put(meta, []byte(spec.canon().Encode()), table); err != nil {
 		// The run still completed; the archive just missed it. Serve from
 		// memory and say so rather than failing a finished run.
 		s.opts.Logf("run %s finished but could not be stored: %v", meta.ID, err)
 	}
+	rn.mu.Lock()
+	rn.meta = meta
+	rn.table = table
+	rn.mu.Unlock()
 	s.opts.Logf("run %s done: %s (%d table bytes, checks pass: %v)",
 		meta.ID, spec.Describe(), len(table), checksPass)
 	rn.log.emit("done", doneEvent(meta))

@@ -96,6 +96,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown algorithm key", `{"algorithm":{"key":"nope","family":"cycle","n":8,"trials":5}}`, http.StatusUnprocessableEntity},
 		{"oversized trials", `{"algorithm":{"key":"luby-mis","family":"cycle","n":8,"trials":99999999}}`, http.StatusUnprocessableEntity},
 		{"both kinds", `{"experiment":"E2","algorithm":{"key":"luby-mis","family":"cycle","n":8,"trials":5}}`, http.StatusUnprocessableEntity},
+		{"out-of-range fault rates", `{"experiment":"E2","quick":true,"fault":{"drop":1.7,"delay":-3}}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -185,11 +185,6 @@ func TestMultiHostWorkerKillRequeue(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process harness in -short mode")
 	}
-	// One mc worker, so every chunk flows through the remote executor and
-	// the death deterministically fails an in-flight chunk.
-	oldProcs := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(oldProcs)
-
 	pool := startProcessPool(t, 2, map[int]int{0: 5})
 	g := graph.Cycle(24)
 	in := Instance(t, g)
@@ -235,6 +230,14 @@ func TestMultiHostWorkerKillRequeue(t *testing.T) {
 		}
 	}
 
+	// Every mc worker starts on a chunk of its own and builds one state
+	// for it, so the pool (GOMAXPROCS/Shards groups, capped at the chunk
+	// count) sets the state count of a sweep with no failure. The worker
+	// pool backs one remote executor at a time, so only one of those
+	// states is remote and the rest fall back to local batches. A second
+	// remote state and a build beyond the pool size are therefore the
+	// retry of the chunk the kill failed, at any GOMAXPROCS.
+	workers := min(max(1, runtime.GOMAXPROCS(0)/2), trials/width)
 	var built, remoteBuilt atomic.Int32
 	est := mc.Executor[*remoteOrLocal]{
 		Trials: trials,
@@ -275,8 +278,8 @@ func TestMultiHostWorkerKillRequeue(t *testing.T) {
 	if live := pool.Live(); live != 1 {
 		t.Fatalf("pool reports %d live workers after the kill, want 1", live)
 	}
-	if built.Load() < 2 || remoteBuilt.Load() < 2 {
-		t.Fatalf("states built %d (remote %d), want >= 2 of each: the failed chunk must have been retried on a rebuilt executor",
-			built.Load(), remoteBuilt.Load())
+	if built.Load() <= int32(workers) || remoteBuilt.Load() < 2 {
+		t.Fatalf("states built %d (remote %d) by %d mc workers, want more than %d (remote >= 2): the failed chunk must have been retried on a rebuilt executor",
+			built.Load(), remoteBuilt.Load(), workers, workers)
 	}
 }
