@@ -11,32 +11,42 @@ import (
 
 // TestDeterminismLedger pins the determinism ledger of
 // docs/ARCHITECTURE.md: a rendered table is a function of the experiment,
-// the quick flag and the seed alone. GOMAXPROCS, the shard count and the
-// cut-exchange transport all change how many workers a sweep and its
-// node passes get — and the shared core budget makes that depend on
-// concurrent load too — but never a byte of output. E2 (retry coloring),
-// E10 (the headline sweep) and E17 (faults) are rendered across the
-// whole matrix, then once more with every extra core held by the test so
-// each sweep runs one worker and every node pass runs inline; all
-// renders must agree, and E2 must equal its committed golden.
+// the quick flag, the seed and the fault plan alone. GOMAXPROCS, the
+// shard count and the cut-exchange transport all change how many workers
+// a sweep and its node passes get — and the shared core budget makes
+// that depend on concurrent load too — but never a byte of output. E2
+// (retry coloring), E10 (the headline sweep), E17 (faults) and E2 under
+// a drop/delay/crash plan are rendered across the whole matrix, then
+// once more with every extra core held by the test so each sweep runs
+// one worker and every node pass runs inline; all renders of a row must
+// agree, and both E2 rows must equal their committed goldens.
 func TestDeterminismLedger(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment tables in -short mode")
 	}
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
-	golden := map[string]string{"E2": "run_E2_quick_seed7.golden"}
-	for _, id := range []string{"E2", "E10", "E17"} {
-		t.Run(id, func(t *testing.T) {
+	for _, row := range []struct {
+		name, id string
+		args     []string
+		golden   string
+	}{
+		{"E2", "E2", nil, "run_E2_quick_seed7.golden"},
+		{"E10", "E10", nil, ""},
+		{"E17", "E17", nil, ""},
+		{"E2-faults", "E2", []string{"-drop", "0.05", "-delay", "0.05", "-crash", "0.01"}, "run_E2_quick_seed7_faults.golden"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
 			render := func(procs int, args ...string) []byte {
 				runtime.GOMAXPROCS(procs)
+				argv := append([]string{row.id, "-quick", "-seed", "7"}, row.args...)
 				return captureStdout(t, func() error {
-					return cmdRun(append([]string{id, "-quick", "-seed", "7"}, args...))
+					return cmdRun(append(argv, args...))
 				})
 			}
 			want := render(1)
-			if name, ok := golden[id]; ok {
-				expectGolden(t, name, want)
+			if row.golden != "" {
+				expectGolden(t, row.golden, want)
 			}
 			check := func(config string, got []byte) {
 				t.Helper()

@@ -57,28 +57,70 @@ type Scheme interface {
 }
 
 // VerifyAll runs the verifier at every node with the given certificates
-// and returns the conjunction (acceptance, §2.2.1 style).
+// and returns the conjunction (acceptance, §2.2.1 style). The views come
+// from one local.Engine over the instance's plan, so balls and view
+// skeletons are built once per call, not once per node.
 func VerifyAll(di *lang.DecisionInstance, s Scheme, certs Certificates) bool {
 	if len(certs) != di.G.N() {
 		return false
 	}
+	return newVerifier(di, s).accepts(certs)
+}
+
+// verifier checks certificate assignments against one instance. It
+// keeps what does not change between assignments — the engine with its
+// cached view skeletons, each node's ball-local certificate row and the
+// verdict row — so a warm check allocates nothing and rewrites only the
+// certificate pointers.
+type verifier struct {
+	di      *lang.DecisionInstance
+	s       Scheme
+	eng     *local.Engine
+	rows    [][][]byte // rows[v][i]: certificate of v's ball-local node i
+	verdict []bool
+	certs   Certificates // the assignment under check, during accepts
+	visit   func(v int, view *local.View)
+}
+
+func newVerifier(di *lang.DecisionInstance, s Scheme) *verifier {
 	n := di.G.N()
-	ok := true
-	verdicts := make([]bool, n)
-	local.ParallelFor(n, func(v int) {
-		view := local.DecisionView(di, v, s.Radius(), nil)
-		ballCerts := make([][]byte, view.Ball.Size())
-		for i, u := range view.Ball.Nodes {
-			ballCerts[i] = certs[u]
-		}
-		verdicts[v] = s.Verify(view, ballCerts)
-	})
-	for _, okV := range verdicts {
-		if !okV {
-			ok = false
+	vf := &verifier{
+		di:      di,
+		s:       s,
+		eng:     local.MustPlan(di.G).NewEngine(),
+		rows:    make([][][]byte, n),
+		verdict: make([]bool, n),
+	}
+	vf.visit = vf.check
+	return vf
+}
+
+// accepts reports whether every node accepts certs, which must hold one
+// certificate per node.
+func (vf *verifier) accepts(certs Certificates) bool {
+	vf.certs = certs
+	vf.eng.ForEachDecisionView(vf.di, vf.s.Radius(), nil, vf.visit)
+	vf.certs = nil
+	for _, ok := range vf.verdict {
+		if !ok {
+			return false
 		}
 	}
-	return ok
+	return true
+}
+
+// check is the per-node verdict; nodes touch disjoint rows, so the
+// engine may visit them concurrently.
+func (vf *verifier) check(v int, view *local.View) {
+	row := vf.rows[v]
+	if row == nil {
+		row = make([][]byte, view.Ball.Size())
+		vf.rows[v] = row
+	}
+	for i, u := range view.Ball.Nodes {
+		row[i] = vf.certs[u]
+	}
+	vf.verdict[v] = vf.s.Verify(view, row)
 }
 
 // Completeness checks that the prover's certificates are accepted on a
@@ -96,27 +138,36 @@ func Completeness(di *lang.DecisionInstance, s Scheme) (bool, error) {
 // output) of up to maxLen bytes per node, reporting the first assignment
 // that fools the verifier, if any. A nil return means the verifier
 // survived the search — empirical evidence of soundness, not a proof.
+// Every attempt is checked by one verifier over one engine, and the
+// random certificates are drawn into one reused slab, so the search
+// allocates nothing per attempt; a returned assignment is a fresh copy.
 func SoundnessSearch(di *lang.DecisionInstance, s Scheme, attempts, maxLen int, seed uint64) (Certificates, error) {
+	vf := newVerifier(di, s)
 	// The prover's own certificates must not fool the verifier either.
-	if certs, err := s.Prove(di); err == nil {
-		if VerifyAll(di, s, certs) {
+	if certs, err := s.Prove(di); err == nil && len(certs) == di.G.N() {
+		if vf.accepts(certs) {
 			return certs, nil
 		}
 	}
 	src := localrand.NewSource(seed)
 	n := di.G.N()
+	certs := make(Certificates, n)
+	slab := make([]byte, n*maxLen)
 	for a := 0; a < attempts; a++ {
-		certs := make(Certificates, n)
 		for v := 0; v < n; v++ {
 			l := src.Intn(maxLen + 1)
-			c := make([]byte, l)
+			c := slab[v*maxLen : v*maxLen+l : v*maxLen+l]
 			for i := range c {
 				c[i] = byte(src.Intn(256))
 			}
 			certs[v] = c
 		}
-		if VerifyAll(di, s, certs) {
-			return certs, nil
+		if vf.accepts(certs) {
+			fooling := make(Certificates, n)
+			for v, c := range certs {
+				fooling[v] = append([]byte{}, c...)
+			}
+			return fooling, nil
 		}
 	}
 	return nil, nil

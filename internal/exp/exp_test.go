@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -125,4 +126,23 @@ func TestPlantedSaboteur(t *testing.T) {
 	if err != nil || !ok {
 		t.Errorf("clean planted coloring not proper: ok=%v err=%v", ok, err)
 	}
+}
+
+// TestConfigFaultValidated checks report.Config.Fault on the library
+// path: an out-of-range plan reaches the experiment's first trial
+// executor, whose precondition panics with the ErrFaultPlan error instead
+// of rendering a table whose checks fail.
+func TestConfigFaultValidated(t *testing.T) {
+	e, ok := ByID("E2")
+	if !ok {
+		t.Fatal("E2 not registered")
+	}
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.Is(err, local.ErrFaultPlan) {
+			t.Errorf("recovered %v, want an ErrFaultPlan error", err)
+		}
+	}()
+	e.Run(report.Config{Quick: true, Seed: 7, Fault: &local.FaultPlan{Seed: 1, Drop: 1.7}})
+	t.Error("E2 ran under a drop rate of 1.7")
 }

@@ -401,3 +401,17 @@ func TestWireMessageZeroAllocsPerRound(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultPlanValidateAllocFree pins Validate's success path at zero
+// allocations: every run entry point calls it, and the 0-alloc floors
+// above hold only if a valid plan costs nothing.
+func TestFaultPlanValidateAllocFree(t *testing.T) {
+	f := &FaultPlan{Seed: 1, Drop: 0.05, Delay: 0.05, CrashP: 0.01, CrashFrom: 2, CrashUntil: 9}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := f.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("Validate on a valid plan allocates %.0f/op; want 0", got)
+	}
+}

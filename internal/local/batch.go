@@ -178,6 +178,20 @@ type Batch struct {
 	// message path's arenaPair).
 	viewOuts [2]viewArena
 	viewFlip int
+	// viewFn is the bound viewChunk method, built once so a view pass
+	// dispatches without allocating a closure (the roundFn idiom); vpass
+	// carries the pass parameters to it and is cleared when the pass
+	// ends.
+	viewFn func(w, lo, hi int)
+	vpass  viewPass
+}
+
+// viewPass is one forEachViewVec pass's parameters, read by viewChunk.
+type viewPass struct {
+	vs    *viewSet
+	k     int
+	draws []localrand.Draw
+	fn    func(b, v int, view *View)
 }
 
 // laneSrc supplies the per-lane inputs of one execution vector — lane
@@ -329,6 +343,9 @@ func (bt *Batch) Run(in *lang.Instance, algo MessageAlgorithm, draws []localrand
 	if err := bt.checkInstance(in); err != nil {
 		return nil, err
 	}
+	if err := bt.effectiveFault(opts).Validate(); err != nil {
+		return nil, err
+	}
 	return bt.runBlocks(in, nil, len(draws), algo, draws, opts)
 }
 
@@ -347,6 +364,9 @@ func (bt *Batch) RunInstances(ins []*lang.Instance, algo MessageAlgorithm, draws
 		if err := bt.checkInstance(in); err != nil {
 			return nil, err
 		}
+	}
+	if err := bt.effectiveFault(opts).Validate(); err != nil {
+		return nil, err
 	}
 	return bt.runBlocks(nil, ins, len(ins), algo, draws, opts)
 }
@@ -1084,6 +1104,7 @@ func (bt *Batch) forEachViewVec(vs *viewSet, k int, hasY bool, draws []localrand
 			rf[b].y = b == 0 || !sameColumn(bt.colY[b], bt.colY[b-1])
 		}
 	}
+	bt.vpass = viewPass{vs: vs, k: k, draws: draws, fn: fn}
 	defer func() {
 		for v := range vs.views {
 			view := &vs.views[v]
@@ -1094,8 +1115,20 @@ func (bt *Batch) forEachViewVec(vs *viewSet, k int, hasY bool, draws []localrand
 		clear(bt.colID[:k])
 		clear(bt.colX[:k])
 		clear(bt.colY[:k])
+		bt.vpass = viewPass{}
 	}()
-	parallelFor(len(vs.views), func(v int) {
+	if bt.viewFn == nil {
+		bt.viewFn = bt.viewChunk
+	}
+	parallelChunks(len(vs.views), bt.viewFn)
+}
+
+// viewChunk is the body of a forEachViewVec pass over nodes [lo, hi):
+// each node's view is refilled lane by lane and handed to the pass's fn.
+func (bt *Batch) viewChunk(_, lo, hi int) {
+	p := &bt.vpass
+	vs, k, draws, fn, rf := p.vs, p.k, p.draws, p.fn, bt.refill
+	for v := lo; v < hi; v++ {
 		view := &vs.views[v]
 		nodes := view.Ball.Nodes
 		for b := 0; b < k; b++ {
@@ -1130,7 +1163,7 @@ func (bt *Batch) forEachViewVec(vs *viewSet, k int, hasY bool, draws []localrand
 			}
 			fn(b, v, view)
 		}
-	})
+	}
 }
 
 // RunView executes one ball-view trial per draw on a shared instance,

@@ -95,10 +95,13 @@ var ErrFaultPlan = errors.New("local: invalid fault plan")
 
 // Validate reports whether the plan's rates and rounds are in range: the
 // drop, delay and crash rates are probabilities in [0, 1], and the crash
-// rounds are not negative. A nil plan is valid. Entry points that build
-// a plan from user input (the CLI flags, the serve job spec) call it
-// before arming the plan, so an out-of-range rate is an intake error
-// rather than a run whose checks fail.
+// rounds are not negative. A nil plan is valid, and a valid plan
+// allocates nothing. Entry points that build a plan from user input (the
+// CLI flags, the serve job spec) call it before arming the plan, so an
+// out-of-range rate is an intake error rather than a run whose checks
+// fail; the library entry points check the plan a run would obey —
+// Engine.Run, Batch.Run/RunInstances and Sharded.Run/RunInstances return
+// the error, and mc.Executor's Run and Mean panic with it.
 func (f *FaultPlan) Validate() error {
 	if f == nil {
 		return nil
@@ -307,9 +310,12 @@ func (bt *Batch) ensureHeldSlabs(slots, B int) {
 // step. Every fault decision is a pure positional function of
 // (channel, round, global slot, lane identity), so the iteration-order
 // change cannot perturb a single draw — outputs are byte-identical to
-// the lane-major walk. Down and dead lanes skip the suppression chain
-// entirely (held-slab state included), exactly as they skipped the
-// whole per-lane walk before.
+// the lane-major walk. Since only the lane identity varies across a
+// node's crash draws or a slot's drop and delay draws, each of those
+// groups walks its fault-tape prefix once (localrand.FaultTape.Prefix)
+// and finishes each lane's draw with one mixing step. Down and dead
+// lanes skip the suppression chain entirely (held-slab state included),
+// exactly as they skipped the whole per-lane walk before.
 func (bt *Batch) faultPass(w, vlo, vhi int) {
 	topo := bt.plan.topo
 	k, B, round := bt.rk, bt.block, bt.rround
@@ -368,8 +374,19 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 		out.deg, out.slotLo = deg, lo-base
 		// Crash draws, once per lane. The round coordinate is pinned to 0
 		// so one (node, lane) pair crashes in every round of its window.
+		// The (channel, round, node) prefix is walked once per node, at
+		// the first lane that draws.
+		var crashPre localrand.FaultPrefix
+		havePre := false
 		for b := 0; b < k; b++ {
-			down[b] = crashNow && alive[b] && ftape.Bernoulli(f.CrashP, faultCrash, 0, uint64(v), fids[b])
+			down[b] = false
+			if !crashNow || !alive[b] {
+				continue
+			}
+			if !havePre {
+				crashPre, havePre = ftape.Prefix(faultCrash, 0, uint64(v)), true
+			}
+			down[b] = crashPre.Bernoulli(f.CrashP, fids[b])
 		}
 		clear(del)
 		// The suppression walk, slot-major: each receive slot's k lanes
@@ -381,6 +398,12 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 			// slot: lo+pi is v's port pi in every execution shape.
 			gs := uint64(lo + pi)
 			severed := sev != nil && round >= int(sev[lo+pi])
+			// The drop and delay draws of one slot share (channel, round,
+			// slot) and differ only in the lane; each prefix is walked at
+			// the first lane that needs it, so a slot with no arrival pays
+			// nothing and a one-lane run pays what a full draw costs.
+			var dropPre, delayPre localrand.FaultPrefix
+			haveDrop, haveDelay := false, false
 			for b := 0; b < k; b++ {
 				if !alive[b] || down[b] {
 					continue
@@ -411,11 +434,19 @@ func (bt *Batch) faultPass(w, vlo, vhi int) {
 					curLens[li] = 0
 					continue
 				}
-				if f.Drop > 0 && ftape.Bernoulli(f.Drop, faultDrop, uint64(round), gs, fids[b]) {
-					curLens[li] = 0
-					continue
+				if f.Drop > 0 {
+					if !haveDrop {
+						dropPre, haveDrop = ftape.Prefix(faultDrop, uint64(round), gs), true
+					}
+					if dropPre.Bernoulli(f.Drop, fids[b]) {
+						curLens[li] = 0
+						continue
+					}
 				}
-				if heldLens != nil && ftape.Bernoulli(f.Delay, faultDelay, uint64(round), gs, fids[b]) {
+				if heldLens != nil && !haveDelay {
+					delayPre, haveDelay = ftape.Prefix(faultDelay, uint64(round), gs), true
+				}
+				if heldLens != nil && delayPre.Bernoulli(f.Delay, fids[b]) {
 					hl := curLens[li]
 					heldLens[li] = hl
 					if nw := int(hl) - 1; nw > 0 {

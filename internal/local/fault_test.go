@@ -452,3 +452,56 @@ func TestFaultPlanValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultPlanRejectedAtRunEntryPoints checks the library path: every
+// message-run entry point checks the plan the run would obey — the
+// RunOptions.Fault override, or the SetFault default when the option is
+// nil — and returns the ErrFaultPlan-wrapped error without running. A
+// valid override over an invalid default runs, since the default is not
+// the plan in force.
+func TestFaultPlanRejectedAtRunEntryPoints(t *testing.T) {
+	g := graph.Petersen()
+	in := mustInstance(t, g)
+	plan := MustPlan(g)
+	algo := floodMin{t: 2}
+	bad := &FaultPlan{Seed: 3, Drop: 1.5}
+	good := &FaultPlan{Seed: 3, Drop: 0.1}
+	draws := []localrand.Draw{localrand.NewTapeSpace(1).Draw(0), localrand.NewTapeSpace(1).Draw(1)}
+	ins := []*lang.Instance{in, in}
+
+	eng := plan.NewEngine()
+	bt := plan.NewBatch(2)
+	sh, err := plan.NewSharded(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	runs := []struct {
+		name   string
+		setDef func(*FaultPlan)
+		run    func(opts RunOptions) error
+	}{
+		{"Engine.Run", eng.SetFault, func(o RunOptions) error { _, err := eng.Run(in, algo, &draws[0], o); return err }},
+		{"Batch.Run", bt.SetFault, func(o RunOptions) error { _, err := bt.Run(in, algo, draws, o); return err }},
+		{"Batch.RunInstances", bt.SetFault, func(o RunOptions) error { _, err := bt.RunInstances(ins, algo, draws, o); return err }},
+		{"Sharded.Run", sh.SetFault, func(o RunOptions) error { _, err := sh.Run(in, algo, draws, o); return err }},
+		{"Sharded.RunInstances", sh.SetFault, func(o RunOptions) error { _, err := sh.RunInstances(ins, algo, draws, o); return err }},
+	}
+	for _, r := range runs {
+		r.setDef(nil)
+		if err := r.run(RunOptions{Fault: bad}); !errors.Is(err, ErrFaultPlan) {
+			t.Errorf("%s with an invalid RunOptions.Fault: err = %v, want ErrFaultPlan", r.name, err)
+		}
+		r.setDef(bad)
+		if err := r.run(RunOptions{}); !errors.Is(err, ErrFaultPlan) {
+			t.Errorf("%s with an invalid SetFault default: err = %v, want ErrFaultPlan", r.name, err)
+		}
+		if err := r.run(RunOptions{Fault: good}); err != nil {
+			t.Errorf("%s with a valid override of an invalid default: %v", r.name, err)
+		}
+		r.setDef(nil)
+		if err := r.run(RunOptions{}); err != nil {
+			t.Errorf("%s fault-free: %v", r.name, err)
+		}
+	}
+}

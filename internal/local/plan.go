@@ -124,6 +124,11 @@ type Engine struct {
 	drawBuf [1]localrand.Draw
 	diBuf   [1]*lang.DecisionInstance
 	ptrBuf  [1]*Result
+	// laneFn is the bound laneView method ForEachDecisionView hands the
+	// batch, built once; visit is the caller's per-node callback it
+	// forwards to for the duration of one call.
+	laneFn func(b, v int, view *View)
+	visit  func(v int, view *View)
 }
 
 // NewEngine returns a fresh engine of the plan. Slabs are allocated
@@ -154,6 +159,9 @@ func (e *Engine) drawsOf(draw *localrand.Draw) []localrand.Draw {
 // across arbitrarily many runs.
 func (e *Engine) Run(in *lang.Instance, algo MessageAlgorithm, draw *localrand.Draw, opts RunOptions) (*Result, error) {
 	if err := e.bt.checkInstance(in); err != nil {
+		return nil, err
+	}
+	if err := e.bt.effectiveFault(opts).Validate(); err != nil {
 		return nil, err
 	}
 	draws := e.drawsOf(draw)
@@ -209,15 +217,22 @@ func (e *Engine) RunView(in *lang.Instance, algo ViewAlgorithm, draw *localrand.
 // exactly as the decide package's Verdicts does with one-shot views.
 // Skeletons are cached per radius; only the identity/input/label
 // pointers are refilled per call, so trial loops that hand a fresh
-// DecisionInstance every trial stay allocation-free. Views are
-// engine-owned scratch: they are valid only for the duration of fn and
-// must be treated as read-only.
+// DecisionInstance every trial stay allocation-free: a warm call
+// allocates nothing beyond what fn's own construction costs the caller
+// (a callback built once — a method value, say — costs nothing). Views
+// are engine-owned scratch: they are valid only for the duration of fn
+// and must be treated as read-only.
 func (e *Engine) ForEachDecisionView(di *lang.DecisionInstance, radius int, draw *localrand.Draw, fn func(v int, view *View)) {
 	e.diBuf[0] = di
-	defer func() { e.diBuf[0] = nil }() // no-retention: drop the trial's instance
-	if err := e.bt.ForEachDecisionViews(e.diBuf[:], radius, e.drawsOf(draw), func(_, v int, view *View) {
-		fn(v, view)
-	}); err != nil {
+	e.visit = fn
+	defer func() { e.diBuf[0], e.visit = nil, nil }() // no-retention: drop the trial's instance
+	if e.laneFn == nil {
+		e.laneFn = e.laneView
+	}
+	if err := e.bt.ForEachDecisionViews(e.diBuf[:], radius, e.drawsOf(draw), e.laneFn); err != nil {
 		panic(err.Error())
 	}
 }
+
+// laneView forwards the one lane's views to ForEachDecisionView's fn.
+func (e *Engine) laneView(_, v int, view *View) { e.visit(v, view) }

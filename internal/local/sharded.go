@@ -395,6 +395,9 @@ func (s *Sharded) Run(in *lang.Instance, algo MessageAlgorithm, draws []localran
 	if err := bt0.checkInstance(in); err != nil {
 		return nil, err
 	}
+	if err := s.effectiveFault(opts).Validate(); err != nil {
+		return nil, err
+	}
 	if s.remote != nil && !s.remotable(algo) {
 		return s.Unsharded().Run(in, algo, draws, opts)
 	}
@@ -438,6 +441,9 @@ func (s *Sharded) RunInstances(ins []*lang.Instance, algo MessageAlgorithm, draw
 		if err := bt0.checkInstance(in); err != nil {
 			return nil, err
 		}
+	}
+	if err := s.effectiveFault(opts).Validate(); err != nil {
+		return nil, err
 	}
 	if s.remote != nil && !s.remotable(algo) {
 		return s.Unsharded().RunInstances(ins, algo, draws, opts)

@@ -166,6 +166,9 @@ func (d Draw) tapeSeed(nodeID int64) uint64 {
 // across every execution shape. It is deliberately separate from
 // TapeSpace: fault randomness must not perturb the algorithms' Rand(A)
 // draws, so conditioning experiments keep their meaning under faults.
+// A word is a walk through its four coordinates in order; events that
+// share the first three (the lanes of one delivery slot) share that part
+// of the walk through Prefix.
 type FaultTape struct {
 	seed uint64
 }
@@ -178,20 +181,51 @@ func NewFaultTape(seed uint64) FaultTape {
 // Word returns the pseudo-random word at coordinates (channel, a, b, c):
 // a chained SplitMix64 walk, so permuting or offsetting coordinates
 // yields independent words (no xor-style commutative collisions).
+// Word(ch, a, b, c) equals Prefix(ch, a, b).Word(c).
 func (t FaultTape) Word(channel, a, b, c uint64) uint64 {
-	h := mix64(t.seed + splitmixGamma*(channel+1))
-	h = mix64(h + splitmixGamma*(a+1))
-	h = mix64(h + splitmixGamma*(b+1))
-	return mix64(h + splitmixGamma*(c+1))
+	return t.Prefix(channel, a, b).Word(c)
 }
 
 // Bernoulli reports a probability-p event at the given coordinates,
-// using the same uniform mapping as Source.Float64.
+// using the same uniform mapping as Source.Float64. It equals
+// Prefix(channel, a, b).Bernoulli(p, c) bit for bit.
 func (t FaultTape) Bernoulli(p float64, channel, a, b, c uint64) bool {
-	if p <= 0 {
+	return t.Prefix(channel, a, b).Bernoulli(p, c)
+}
+
+// Prefix returns the tape's walk through the first three coordinates
+// (channel, a, b), leaving only the last coordinate to mix. A caller
+// drawing many events that share (channel, a, b) and differ only in c
+// (the fault pass draws one per lane of a receive slot) takes the
+// prefix once and pays one SplitMix64 step per event instead of four;
+// the words are identical to Word's.
+func (t FaultTape) Prefix(channel, a, b uint64) FaultPrefix {
+	h := mix64(t.seed + splitmixGamma*(channel+1))
+	h = mix64(h + splitmixGamma*(a+1))
+	return FaultPrefix{h: mix64(h + splitmixGamma*(b+1))}
+}
+
+// FaultPrefix is a FaultTape walked through its first three coordinates
+// (see FaultTape.Prefix). The zero value is not a prefix of any tape;
+// take one from Prefix.
+type FaultPrefix struct {
+	h uint64
+}
+
+// Word returns the fault tape's word at (channel, a, b, c) for the
+// prefix's (channel, a, b).
+func (p FaultPrefix) Word(c uint64) uint64 {
+	return mix64(p.h + splitmixGamma*(c+1))
+}
+
+// Bernoulli reports a probability-prob event at the last coordinate c,
+// bit-identical to FaultTape.Bernoulli(prob, channel, a, b, c). A
+// non-positive prob (and NaN) never fires.
+func (p FaultPrefix) Bernoulli(prob float64, c uint64) bool {
+	if prob <= 0 {
 		return false
 	}
-	return float64(t.Word(channel, a, b, c)>>11)/(1<<53) < p
+	return float64(p.Word(c)>>11)/(1<<53) < prob
 }
 
 // Derive returns a sub-draw labeled by the given tag, for algorithms that

@@ -46,7 +46,8 @@ type Executor[S any] struct {
 	// worker state that exposes SetFault(*local.FaultPlan) — Engine,
 	// Batch, and Sharded all do — so a whole trial sweep runs under one
 	// fault model without threading RunOptions through every call site.
-	// States without SetFault ignore it.
+	// States without SetFault ignore it. A plan failing
+	// local.FaultPlan.Validate makes Run and Mean panic before any trial.
 	Fault *local.FaultPlan
 	// NewState is called once per worker; its value is passed to every
 	// trial body that worker executes. The intended state is reusable
@@ -85,6 +86,15 @@ func (e Executor[S]) workers() (n, extra int) {
 	chunks := (e.Trials + b - 1) / b
 	extra = local.AcquireCores(min(runtime.GOMAXPROCS(0), chunks) - 1)
 	return 1 + extra, extra
+}
+
+// checkFault is Run's and Mean's precondition: a fault plan that fails
+// local.FaultPlan.Validate panics with the local.ErrFaultPlan-wrapped
+// error before any core is taken or worker state is built.
+func (e Executor[S]) checkFault() {
+	if err := e.Fault.Validate(); err != nil {
+		panic(err)
+	}
 }
 
 // batch returns the effective trial-vector width.
@@ -126,6 +136,7 @@ func (e Executor[S]) stateFn() func() S {
 // retried on a freshly built state before the failure is considered
 // permanent. Estimates stay bit-identical to the legacy static split.
 func (e Executor[S]) Run(f func(s S, lo, hi int, out []bool)) Estimate {
+	e.checkFault()
 	workers, extra := e.workers()
 	defer local.ReleaseCores(extra)
 	return runSteal(e.Trials, e.batch(), workers, e.stateFn(), e.Progress, f)
@@ -139,6 +150,7 @@ func (e Executor[S]) Run(f func(s S, lo, hi int, out []bool)) Estimate {
 // size and scheduling. Wrap a per-trial observable with ScalarMean when
 // no vectorization is wanted.
 func (e Executor[S]) Mean(f func(s S, lo, hi int, out []float64)) (mean, stderr float64) {
+	e.checkFault()
 	workers, extra := e.workers()
 	defer local.ReleaseCores(extra)
 	return meanSteal(e.Trials, e.batch(), workers, e.stateFn(), e.Progress, f)

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -85,5 +86,42 @@ func TestExecutorArmsFault(t *testing.T) {
 		Run(Scalar(func(int, int) bool { return true }))
 	if plain.Successes != 2 {
 		t.Errorf("stateless run under fault option: %+v", plain)
+	}
+}
+
+// TestExecutorRejectsInvalidFault checks Run's and Mean's precondition:
+// a fault plan failing Validate panics with the ErrFaultPlan-wrapped
+// error before a single worker state is built or a budget core taken.
+func TestExecutorRejectsInvalidFault(t *testing.T) {
+	bad := &local.FaultPlan{Seed: 9, Delay: -0.5}
+	built := 0
+	x := Executor[*faultRecorder]{
+		Trials: 8,
+		Fault:  bad,
+		NewState: func() *faultRecorder {
+			built++
+			return &faultRecorder{}
+		},
+	}
+	verbs := map[string]func(){
+		"Run":  func() { x.Run(Scalar(func(*faultRecorder, int) bool { return true })) },
+		"Mean": func() { x.Mean(ScalarMean(func(*faultRecorder, int) float64 { return 1 })) },
+	}
+	for name, verb := range verbs {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if !errors.Is(err, local.ErrFaultPlan) {
+					t.Errorf("%s: recovered %v, want an ErrFaultPlan error", name, err)
+				}
+			}()
+			verb()
+		}()
+	}
+	if built != 0 {
+		t.Errorf("%d worker states built under an invalid plan", built)
+	}
+	if held := local.CoresHeld(); held != 0 {
+		t.Errorf("%d budget cores held after the rejected sweeps", held)
 	}
 }

@@ -114,27 +114,61 @@ type Counterexample struct {
 // cycles of length 3..maxN for an instance the algorithm fails to
 // properly q-color, returning the first hit.
 func FindRingCounterexample(algo local.ViewAlgorithm, q, maxN int) (*Counterexample, bool) {
-	l := lang.ProperColoring(q)
-	for n := 3; n <= maxN; n++ {
-		g := graph.Cycle(n)
-		assignments := []struct {
-			id   ids.Assignment
-			seed uint64
-		}{
-			{ids.Consecutive(n), 0},
-		}
-		for seed := uint64(1); seed <= 6; seed++ {
-			assignments = append(assignments, struct {
-				id   ids.Assignment
-				seed uint64
-			}{ids.RandomPerm(n, seed), seed})
-		}
-		for _, as := range assignments {
-			in := &lang.Instance{G: g, X: lang.EmptyInputs(n), ID: as.id}
-			y := local.RunView(in, algo, nil)
-			ok, err := l.Contains(&lang.Config{G: g, X: in.X, Y: y})
+	return newRingSearch(q, maxN).find(algo)
+}
+
+// ringSearch is the instance set FindRingCounterexample walks — per
+// cycle length, one engine over the cycle's plan, the empty input column
+// and the identity assignments to try — built lazily, the first time an
+// algorithm survives to that length, and shared by every algorithm
+// searched through it.
+type ringSearch struct {
+	l     *lang.LCL
+	maxN  int
+	cases []*ringCase // cases[n-3], nil until first needed
+}
+
+// ringCase is one cycle length's share of a ringSearch. ins[0] carries
+// the consecutive identities and ins[s] the permutation of seed s, so an
+// instance's index is the seed a counterexample reports.
+type ringCase struct {
+	eng *local.Engine
+	cfg lang.Config
+	ins [7]lang.Instance
+}
+
+func newRingSearch(q, maxN int) *ringSearch {
+	return &ringSearch{l: lang.ProperColoring(q), maxN: maxN, cases: make([]*ringCase, max(0, maxN-2))}
+}
+
+// caseFor returns cycle length n's case, building it on first use.
+func (rs *ringSearch) caseFor(n int) *ringCase {
+	if c := rs.cases[n-3]; c != nil {
+		return c
+	}
+	g := graph.Cycle(n)
+	x := lang.EmptyInputs(n)
+	c := &ringCase{eng: local.MustPlan(g).NewEngine(), cfg: lang.Config{G: g, X: x}}
+	c.ins[0] = lang.Instance{G: g, X: x, ID: ids.Consecutive(n)}
+	for seed := 1; seed < len(c.ins); seed++ {
+		c.ins[seed] = lang.Instance{G: g, X: x, ID: ids.RandomPerm(n, uint64(seed))}
+	}
+	rs.cases[n-3] = c
+	return c
+}
+
+// find returns algo's first failing instance, in FindRingCounterexample's
+// order: cycle lengths ascending, consecutive identities before the
+// permutations.
+func (rs *ringSearch) find(algo local.ViewAlgorithm) (*Counterexample, bool) {
+	for n := 3; n <= rs.maxN; n++ {
+		c := rs.caseFor(n)
+		for seed := range c.ins {
+			c.cfg.Y = c.eng.RunView(&c.ins[seed], algo, nil)
+			ok, err := rs.l.Contains(&c.cfg)
+			c.cfg.Y = nil
 			if err == nil && !ok {
-				return &Counterexample{N: n, Seed: as.seed}, true
+				return &Counterexample{N: n, Seed: uint64(seed)}, true
 			}
 		}
 	}
@@ -159,9 +193,10 @@ type Claim2Report struct {
 // so two adjacent interior nodes receive equal colors.
 func VerifyClaim2Radius1(q, maxN int) (*Claim2Report, error) {
 	rep := &Claim2Report{Palette: q, BySize: make(map[int]int)}
+	rs := newRingSearch(q, maxN)
 	for _, algo := range EnumerateRingAlgorithms(q) {
 		rep.Algorithms++
-		ce, found := FindRingCounterexample(algo, q, maxN)
+		ce, found := rs.find(algo)
 		if !found {
 			return nil, fmt.Errorf("orderinv: algorithm %s survives all cycles up to %d — Claim 2 premise violated",
 				algo.Name(), maxN)

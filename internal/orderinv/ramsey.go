@@ -46,21 +46,6 @@ func permutations(n int) [][]int {
 	return out
 }
 
-// evalOnIDs runs A at the center of an ordered ball whose node identities
-// are the given sorted values assigned according to the pattern.
-func evalOnIDs(algo local.ViewAlgorithm, ob orderedBall, sortedIDs []int64) string {
-	idArr := make([]int64, ob.shape.Size)
-	for i, rank := range ob.perm {
-		idArr[i] = sortedIDs[rank]
-	}
-	view := &local.View{
-		Ball: ob.shape.Ball,
-		IDs:  idArr,
-		X:    make([][]byte, ob.shape.Size),
-	}
-	return string(algo.Output(view))
-}
-
 // Extraction is the result of a successful Ramsey extraction.
 type Extraction struct {
 	// U is the extracted identity set, ascending.
@@ -85,49 +70,91 @@ const defaultExtractBudget = 5_000_000
 // involving the candidate, agrees with the ball's established output;
 // dead branches roll the establishment state back — the finite analogue
 // of re-applying Ramsey's theorem per ordered ball in Appendix A.
+//
+// The search state is built once: one View per ordered ball whose
+// identities are rewritten in place, one identity buffer, and per-depth
+// rollback rows; outputs are compared against the established strings
+// without conversion. The search itself therefore allocates nothing per
+// evaluation — only what algo.Output allocates grows with Evaluations.
 func Extract(algo local.ViewAlgorithm, inv *Inventory, wantSize, poolSize int) (*Extraction, error) {
 	if wantSize < 1 {
 		return nil, fmt.Errorf("orderinv: wantSize must be positive")
 	}
 	var balls []orderedBall
+	maxSize := 0
 	for _, shape := range inv.Shapes {
+		maxSize = max(maxSize, shape.Size)
 		for _, perm := range permutations(shape.Size) {
 			balls = append(balls, orderedBall{shape: shape, perm: perm})
 		}
 	}
-	established := make([]string, len(balls))
-	establishedSet := make([]bool, len(balls))
+	nb := len(balls)
+	views := make([]local.View, nb)
+	for bi, ob := range balls {
+		views[bi] = local.View{
+			Ball: ob.shape.Ball,
+			IDs:  make([]int64, ob.shape.Size),
+			X:    make([][]byte, ob.shape.Size),
+		}
+	}
+	established := make([]string, nb)
+	establishedSet := make([]bool, nb)
+	// Rollback rows, one per DFS depth 0..wantSize-1.
+	estBackups := make([]string, wantSize*nb)
+	setBackups := make([]bool, wantSize*nb)
 	ext := &Extraction{}
-	var u []int64
+	u := make([]int64, 0, wantSize)
+	// sorted holds one evaluation's identities in ascending order: a
+	// subset of u followed by the candidate. Candidates join u in
+	// increasing order and every candidate exceeds max(u), so the
+	// concatenation is already sorted. idx walks the subset's indices.
+	sorted := make([]int64, maxSize)
+	idx := make([]int, maxSize)
 	budgetHit := false
 
 	// consistent evaluates candidate c against the current set u, updating
-	// establishment state in place (callers snapshot and roll back).
+	// establishment state in place (callers snapshot and roll back). The
+	// size-(r−1) subsets of u are visited in lexicographic index order.
 	consistent := func(c int64) bool {
 		for bi, ob := range balls {
 			r := ob.shape.Size
 			if len(u)+1 < r {
 				continue // not enough identities yet
 			}
-			ok := true
-			forEachSubset(u, r-1, func(subset []int64) bool {
-				idsSorted := append(append([]int64(nil), subset...), c)
-				sort.Slice(idsSorted, func(i, j int) bool { return idsSorted[i] < idsSorted[j] })
-				out := evalOnIDs(algo, ob, idsSorted)
+			m := r - 1
+			for i := 0; i < m; i++ {
+				idx[i] = i
+			}
+			view := &views[bi]
+			for {
+				for i := 0; i < m; i++ {
+					sorted[i] = u[idx[i]]
+				}
+				sorted[m] = c
+				for i, rank := range ob.perm {
+					view.IDs[i] = sorted[rank]
+				}
+				out := algo.Output(view)
 				ext.Evaluations++
 				if !establishedSet[bi] {
-					established[bi] = out
+					established[bi] = string(out)
 					establishedSet[bi] = true
-					return true
-				}
-				if out != established[bi] {
-					ok = false
+				} else if string(out) != established[bi] {
 					return false
 				}
-				return true
-			})
-			if !ok {
-				return false
+				// Next subset: bump the rightmost index with room left and
+				// restart the ones after it.
+				i := m - 1
+				for i >= 0 && idx[i] == len(u)-m+i {
+					i--
+				}
+				if i < 0 {
+					break
+				}
+				idx[i]++
+				for j := i + 1; j < m; j++ {
+					idx[j] = idx[j-1] + 1
+				}
 			}
 		}
 		return true
@@ -138,13 +165,15 @@ func Extract(algo local.ViewAlgorithm, inv *Inventory, wantSize, poolSize int) (
 		if len(u) >= wantSize {
 			return true
 		}
+		d := len(u) * nb
+		estBackup, setBackup := estBackups[d:d+nb], setBackups[d:d+nb]
 		for c := from; c <= int64(poolSize); c++ {
 			if ext.Evaluations > defaultExtractBudget {
 				budgetHit = true
 				return false
 			}
-			estBackup := append([]string(nil), established...)
-			setBackup := append([]bool(nil), establishedSet...)
+			copy(estBackup, established)
+			copy(setBackup, establishedSet)
 			if consistent(c) {
 				u = append(u, c)
 				if dfs(c + 1) {
@@ -171,37 +200,6 @@ func Extract(algo local.ViewAlgorithm, inv *Inventory, wantSize, poolSize int) (
 	ext.U = u
 	ext.Outputs = established
 	return ext, nil
-}
-
-// forEachSubset enumerates size-r subsets of set, calling fn with each;
-// fn returning false aborts the enumeration.
-func forEachSubset(set []int64, r int, fn func([]int64) bool) {
-	if r == 0 {
-		fn(nil)
-		return
-	}
-	if r > len(set) {
-		return
-	}
-	idx := make([]int, r)
-	current := make([]int64, r)
-	var rec func(start, k int) bool
-	rec = func(start, k int) bool {
-		if k == r {
-			for i := 0; i < r; i++ {
-				current[i] = set[idx[i]]
-			}
-			return fn(current)
-		}
-		for i := start; i <= len(set)-(r-k); i++ {
-			idx[k] = i
-			if !rec(i+1, k+1) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, 0)
 }
 
 // Simulation is the order-invariant algorithm A' of Appendix A: it

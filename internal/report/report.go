@@ -179,7 +179,9 @@ type Config struct {
 	// deterministic: the plan's fault tape is keyed by (round, global
 	// slot, lane), so per-trial outputs are byte-identical across batch
 	// widths and shard counts, exactly like the fault-free path. A nil or
-	// zero plan reproduces fault-free runs bit for bit.
+	// zero plan reproduces fault-free runs bit for bit. A plan failing
+	// FaultPlan.Validate panics at the first trial executor (mc.Executor's
+	// precondition).
 	Fault *local.FaultPlan
 	// NewSharded, when set, builds the sharded executors the trial loops
 	// use instead of the default in-process one — the CLI injects the
